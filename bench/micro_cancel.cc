@@ -8,12 +8,11 @@
 // checkpoints a cancel must wait out whichever monolithic morsel is in
 // flight (tens of ms); with them, the worker notices within ~1k rows.
 //
-//  - BM_CancelLatency/checkpoints:1 vs /checkpoints:0 is the ablation;
-//    the reported (manual) time per iteration is the Cancel()->drained
-//    latency, with cancel_p50_us / cancel_p99_us counters over every
-//    iteration of the run.
-//  - BM_UncancelledOverhead measures the checkpoint polls' cost on a
-//    query that is never cancelled (must be noise-level).
+//  - BM_CancelLatency: the reported (manual) time per iteration is the
+//    Cancel()->drained latency, with cancel_p50_us / cancel_p99_us
+//    counters over every iteration of the run.
+//  - BM_UncancelledOverhead runs the same query to completion: the
+//    throughput the checkpoint polls ride on.
 //
 // Emitted as BENCH_micro_cancel.json by bench/run_micro.sh so the
 // cancellation-latency trajectory is tracked PR over PR.
@@ -80,13 +79,12 @@ LogicalPlan LongMergeJoinPlan() {
   return p.Build();
 }
 
-std::unique_ptr<Engine> MakeEngine(bool checkpoints) {
+std::unique_ptr<Engine> MakeEngine() {
   EngineOptions opts;
   opts.morsel_size = 16384;
   // One output partition per worker: partition joins become one-morsel
   // monoliths — the exact shape the checkpoints exist for.
   opts.merge_partition_factor = 1;
-  opts.interrupt_checkpoints = checkpoints;
   return std::make_unique<Engine>(BenchTopo(), opts);
 }
 
@@ -107,8 +105,7 @@ void ReportPercentiles(benchmark::State& state,
 // drawn per iteration so the cancel lands in different phases (sorts,
 // partition joins, merges), not always at the same point.
 void BM_CancelLatency(benchmark::State& state) {
-  const bool checkpoints = state.range(0) != 0;
-  auto engine = MakeEngine(checkpoints);
+  auto engine = MakeEngine();
   LogicalPlan plan = LongMergeJoinPlan();
   Rng rng(7);
   std::vector<double> latencies_us;
@@ -128,18 +125,13 @@ void BM_CancelLatency(benchmark::State& state) {
   ReportPercentiles(state, latencies_us);
 }
 BENCHMARK(BM_CancelLatency)
-    ->ArgName("checkpoints")
-    ->Arg(1)
-    ->Arg(0)
     ->Iterations(40)
     ->Unit(benchmark::kMicrosecond)
     ->UseManualTime();
 
-// Throughput cost of the checkpoint polls themselves: the same long
-// merge join run to completion, checkpoints on vs off.
+// The same long merge join run to completion, never cancelled.
 void BM_UncancelledOverhead(benchmark::State& state) {
-  const bool checkpoints = state.range(0) != 0;
-  auto engine = MakeEngine(checkpoints);
+  auto engine = MakeEngine();
   LogicalPlan plan = LongMergeJoinPlan();
   int64_t out = 0;
   for (auto _ : state) {
@@ -150,9 +142,6 @@ void BM_UncancelledOverhead(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kRows);
 }
 BENCHMARK(BM_UncancelledOverhead)
-    ->ArgName("checkpoints")
-    ->Arg(1)
-    ->Arg(0)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

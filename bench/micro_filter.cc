@@ -12,16 +12,12 @@
 //    no-harm case);
 //  - adaptive conjunct reordering: the same two conjuncts written in
 //    the worst order (expensive first) as one adaptive FilterOp vs the
-//    two static orders as stacked single-conjunct filters. The
-//    adaptive arm must track the better static order.
-//  - fused pipelines (DESIGN.md §15): the same worst-order chain
-//    written as *stacked* Filter() calls. Fusion merges the adjacent
-//    nodes into one adaptive FilterOp that learns cheap-first across
-//    the original node boundaries; the unfused arm runs two
-//    single-conjunct FilterOps pinned to the written (worst) order.
+//    two static orders as single-conjunct filters kept apart by a
+//    pass-through projection. The adaptive arm must track the better
+//    static order.
 //  - sel-aware probe chain: the full filter -> hash probe -> agg hot
-//    path under the selection_vectors ablation — the acceptance shape
-//    for killing Chunk::Compact between scan and result.
+//    path under the selection_vectors ablation — every operator between
+//    scan and result reads through the selection.
 //
 // Emitted as BENCH_micro_filter.json by bench/run_micro.sh so the
 // filter-path trajectory is tracked PR over PR.
@@ -122,20 +118,6 @@ Engine& EngineWith(bool selection_vectors, bool zone_maps) {
   return *engines[idx];
 }
 
-// §15 ablation: same options as EngineWith(true, true) but one operator
-// per plan node — stacked filters stay separate (and static).
-Engine& UnfusedEngine() {
-  static Engine* engine = [] {
-    EngineOptions opts;
-    opts.morsel_size = 16384;
-    opts.selection_vectors = true;
-    opts.zone_maps = true;
-    opts.fused_pipelines = false;
-    return new Engine(BenchTopo(), opts);
-  }();
-  return *engine;
-}
-
 // --- two-conjunct chain: selection vectors vs eager compaction -------------
 
 void ConjunctChainBench(benchmark::State& state, bool selection_vectors) {
@@ -198,35 +180,40 @@ void BM_ZoneMapShuffledOff(benchmark::State& s) {
 
 // --- adaptive conjunct order vs static orders ------------------------------
 //
-// Static orders are expressed as stacked single-conjunct filters (a
+// Static orders are expressed as two single-conjunct filters (a
 // single-conjunct FilterOp has nothing to reorder); the adaptive arm is
 // one FilterOp handed the conjunction in the WORST order and must learn
 // the good one from its cost x selectivity counters within the first
-// re-rank interval. The static arms run on the unfused engine: §15
-// fusion would merge the stacked nodes into one adaptive FilterOp and
-// they would stop being static (that comparison is BM_FusedChain*).
+// re-rank interval. Lowering merges adjacent Filter() nodes into one
+// adaptive FilterOp (DESIGN.md §15), so the static arms put a
+// pass-through projection between their two filters to keep them
+// apart — and static.
 
 enum class Order { kAdaptiveWorstFirst, kStaticBest, kStaticWorst };
 
+// Filter(first) -> pass-through projection -> Filter(second).
+void StaticChain(PlanBuilder& pb, ExprPtr (*first)(const PlanBuilder&),
+                 ExprPtr (*second)(const PlanBuilder&)) {
+  pb.Filter(first(pb));
+  pb.Project(NE("a", pb.Col("a")), NE("b", pb.Col("b")));
+  pb.Filter(second(pb));
+}
+
 void OrderBench(benchmark::State& state, Order order) {
-  Engine& engine = order == Order::kAdaptiveWorstFirst
-                       ? EngineWith(/*selection_vectors=*/true,
-                                    /*zone_maps=*/true)
-                       : UnfusedEngine();
+  const Table* facts = Facts();  // build the table outside the timing
+  Engine& engine = EngineWith(/*selection_vectors=*/true, /*zone_maps=*/true);
   int64_t out = 0;
   for (auto _ : state) {
-    PlanBuilder pb = PlanBuilder::Scan(Facts(), {"a", "b"});
+    PlanBuilder pb = PlanBuilder::Scan(facts, {"a", "b"});
     switch (order) {
       case Order::kAdaptiveWorstFirst:
         pb.Filter(And(ExpensiveConjunct(pb), CheapConjunct(pb)));
         break;
       case Order::kStaticBest:
-        pb.Filter(CheapConjunct(pb));
-        pb.Filter(ExpensiveConjunct(pb));
+        StaticChain(pb, CheapConjunct, ExpensiveConjunct);
         break;
       case Order::kStaticWorst:
-        pb.Filter(ExpensiveConjunct(pb));
-        pb.Filter(CheapConjunct(pb));
+        StaticChain(pb, ExpensiveConjunct, CheapConjunct);
         break;
     }
     pb.CollectResult();
@@ -247,48 +234,12 @@ void BM_ConjunctOrderStaticWorst(benchmark::State& s) {
   OrderBench(s, Order::kStaticWorst);
 }
 
-// --- fused vs unfused stacked-filter chain (DESIGN.md §15) -----------------
-//
-// The same worst-order chain as kStaticWorst, but compared across the
-// fused_pipelines ablation instead of across conjunct orders. Fusion
-// merges the two adjacent Filter() nodes into ONE adaptive FilterOp, so
-// the chain can learn cheap-first across the original node boundary;
-// the unfused engine keeps one single-conjunct FilterOp per node and is
-// stuck evaluating the expensive conjunct over every row. CI asserts
-// the fused arm is never slower than 1.1x the unfused arm.
-
-void FusedChainBench(benchmark::State& state, bool fused) {
-  const Table* facts = Facts();
-  Engine& engine =
-      fused ? EngineWith(/*selection_vectors=*/true, /*zone_maps=*/true)
-            : UnfusedEngine();
-  int64_t out = 0;
-  for (auto _ : state) {
-    PlanBuilder pb = PlanBuilder::Scan(facts, {"a", "b", "pay1", "pay2"});
-    pb.Filter(ExpensiveConjunct(pb));  // written worst-first
-    pb.Filter(CheapConjunct(pb));
-    pb.CollectResult();
-    out = CountRows(engine, pb.Build());
-  }
-  benchmark::DoNotOptimize(out);
-  state.SetItemsProcessed(state.iterations() * kRows);
-  state.counters["out_rows"] = static_cast<double>(out);
-}
-
-void BM_FusedChainOn(benchmark::State& s) {
-  FusedChainBench(s, /*fused=*/true);
-}
-void BM_FusedChainOff(benchmark::State& s) {
-  FusedChainBench(s, /*fused=*/false);
-}
-
 // --- sel-aware probe chain vs compact-then-probe ---------------------------
 //
 // The acceptance shape for the §15 hot path: scan -> filter (~3.5%
 // combined) -> hash probe -> global agg -> result. With selection
-// vectors on, no operator between the scan and the result ever calls
-// Chunk::Compact (tests/selection_vector_test.cc counter-asserts this);
-// the eager arm evaluates every conjunct over every row and
+// vectors on, no operator between the scan and the result compacts a
+// chunk; the eager arm evaluates every conjunct over every row and
 // gather-compacts all four scan columns before the probe sees a chunk.
 
 std::unique_ptr<Table> MakeDim() {
@@ -359,8 +310,6 @@ BENCHMARK(BM_ConjunctOrderStaticBest)
 BENCHMARK(BM_ConjunctOrderStaticWorst)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
-BENCHMARK(BM_FusedChainOn)->Unit(benchmark::kMillisecond)->UseRealTime();
-BENCHMARK(BM_FusedChainOff)->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK(BM_ProbeChainSelVec)->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK(BM_ProbeChainEager)->Unit(benchmark::kMillisecond)->UseRealTime();
 

@@ -5,9 +5,9 @@
 //    (tags should make misses ~free)
 //  - ablation: two-phase perfectly-sized build vs a dynamically grown
 //    chaining table (the design §4.1 argues against)
-//  - probe-pipeline throughput of the full HashProbeOp, row-at-a-time
-//    scalar vs staged batched+prefetched (DESIGN.md §5), on a build side
-//    that far exceeds LLC size
+//  - probe-pipeline throughput of the full, staged batched+prefetched
+//    HashProbeOp (DESIGN.md §5), on a build side that far exceeds LLC
+//    size
 //  - sel-aware probe vs compact-then-probe (DESIGN.md §10/§15): chunks
 //    arriving with a sparse selection (~6% of rows survive an upstream
 //    filter), probed in place through the selection vs gather-compacted
@@ -270,11 +270,10 @@ struct CountRowsSink : Sink {
   void Consume(Chunk& c, ExecContext&) override { rows += c.n; }
 };
 
-void ProbePipelineBench(benchmark::State& state, bool batched) {
+void BM_ProbePipelineBatched(benchmark::State& state) {
   ProbePipelineFixture& f = SharedProbeFixture();
   ExecContext ctx;
   ctx.worker = &f.wctx;
-  ctx.batched_probe = batched;
 
   CountRowsSink sink;
   std::vector<std::unique_ptr<Operator>> ops;
@@ -297,23 +296,16 @@ void ProbePipelineBench(benchmark::State& state, bool batched) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 
-void BM_ProbePipelineScalar(benchmark::State& state) {
-  ProbePipelineBench(state, /*batched=*/false);
-}
-void BM_ProbePipelineBatched(benchmark::State& state) {
-  ProbePipelineBench(state, /*batched=*/true);
-}
-BENCHMARK(BM_ProbePipelineScalar)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ProbePipelineBatched)->Unit(benchmark::kMillisecond);
 
 // --- sel-aware probe vs compact-then-probe ----------------------------------
 //
 // An upstream filter has narrowed each chunk to every 16th row (~6%,
-// the <=10% selectivity regime of the acceptance target). With
-// selection vectors on, HashProbeOp hashes and probes only the selected
-// rows in place; with them off it models the pre-§15 hot path — gather-
-// compact the key plus all four payload columns into the arena, then
-// probe dense. The build side is small enough to stay cache-resident so
+// the <=10% selectivity regime of the acceptance target). The sel arm
+// hands HashProbeOp the chunk as is, so it hashes and probes only the
+// selected rows in place; the compact arm models the pre-§15 hot path —
+// gather-compact the key plus all four payload columns into the arena
+// (GatherChunk), then probe dense. The build side is small enough to stay cache-resident so
 // the per-chunk compaction cost is not hidden behind memory-bound chain
 // walks (which is exactly where the eager engine was losing time).
 
@@ -377,11 +369,10 @@ SelProbeFixture& SharedSelProbeFixture() {
   return *f;
 }
 
-void SelProbeBench(benchmark::State& state, bool selection_vectors) {
+void SelProbeBench(benchmark::State& state, bool compact_first) {
   SelProbeFixture& f = SharedSelProbeFixture();
   ExecContext ctx;
   ctx.worker = &f.wctx;
-  ctx.selection_vectors = selection_vectors;
 
   CountRowsSink sink;
   std::vector<std::unique_ptr<Operator>> ops;
@@ -401,7 +392,13 @@ void SelProbeBench(benchmark::State& state, bool selection_vectors) {
                     Vector{LogicalType::kInt64, f.pay[3].data() + base}};
       chunk.sel = f.sel.data();
       chunk.sel_n = static_cast<int>(f.sel.size());
-      pipe.Push(chunk, 0, ctx);
+      if (compact_first) {
+        Chunk dense;
+        GatherChunk(chunk, chunk.sel, chunk.sel_n, &ctx.arena, &dense);
+        pipe.Push(dense, 0, ctx);
+      } else {
+        pipe.Push(chunk, 0, ctx);
+      }
       ctx.arena.Reset();  // morsel boundary
     }
   }
@@ -411,10 +408,10 @@ void SelProbeBench(benchmark::State& state, bool selection_vectors) {
 }
 
 void BM_ProbePipelineSelChain(benchmark::State& state) {
-  SelProbeBench(state, /*selection_vectors=*/true);
+  SelProbeBench(state, /*compact_first=*/false);
 }
 void BM_ProbePipelineCompactChain(benchmark::State& state) {
-  SelProbeBench(state, /*selection_vectors=*/false);
+  SelProbeBench(state, /*compact_first=*/true);
 }
 BENCHMARK(BM_ProbePipelineSelChain)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ProbePipelineCompactChain)->Unit(benchmark::kMillisecond);

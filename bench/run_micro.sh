@@ -18,9 +18,7 @@
 #   BENCH_micro_filter.json        — selection-vector vs eager filter
 #                                    chains, zone-map morsel skipping
 #                                    (sorted vs shuffled), adaptive vs
-#                                    static conjunct order, fused vs
-#                                    unfused stacked-filter chains
-#                                    (DESIGN.md §15), sel-aware
+#                                    static conjunct order, sel-aware
 #                                    filter->probe->agg vs eager
 #   BENCH_micro_groupby.json       — adaptive group-by phase 1 vs
 #                                    forced-local vs forced-radix over
@@ -34,9 +32,8 @@
 #                                    counter records the machine the run
 #                                    actually had)
 #   BENCH_micro_cancel.json        — Cancel()->drained latency p50/p99 on
-#                                    one-morsel merge-join monoliths,
-#                                    interrupt checkpoints on vs off, plus
-#                                    the uncancelled checkpoint overhead
+#                                    one-morsel merge-join monoliths, plus
+#                                    the uncancelled run's throughput
 #   BENCH_serve_mixed.json         — TCP serving front end: per-query
 #                                    latency p50/p99 + throughput for
 #                                    1024 mixed TPC-H/SSB sessions,
@@ -106,25 +103,3 @@ else
   "$SERVE_BIN" --out=BENCH_serve_mixed.json
 fi
 
-# Smoke assertion (DESIGN.md §15): the fused spine must never cost more
-# than 10% over the unfused one — fusion is supposed to be free-or-better.
-# Skipped when the filter excluded the FusedChain pair or python3 is
-# missing (e.g. a stripped CI container).
-if command -v python3 >/dev/null 2>&1; then
-  python3 - <<'EOF'
-import json, sys
-try:
-    d = json.load(open("BENCH_micro_filter.json"))
-except OSError:
-    sys.exit(0)
-med = {b["name"]: b["real_time"] for b in d["benchmarks"]
-       if b.get("aggregate_name") == "median"}
-on = med.get("BM_FusedChainOn/real_time_median")
-off = med.get("BM_FusedChainOff/real_time_median")
-if on is None or off is None:
-    sys.exit(0)  # pair not in this run's filter
-if on > off * 1.1:
-    sys.exit(f"FAIL: fused chain {on:.2f}ms > 1.1x unfused {off:.2f}ms")
-print(f"fused-vs-unfused smoke OK: {on:.2f}ms fused vs {off:.2f}ms unfused")
-EOF
-fi

@@ -91,9 +91,9 @@ class Lowering {
     // Cleared whenever the scope reshapes.
     const Table* stats_table = nullptr;
     std::vector<int> stats_cols;
-    // Pending filter accumulation (EngineOptions::fused_pipelines):
-    // conjuncts of adjacent kFilter nodes collect here and flush into
-    // ONE FilterOp at the next non-filter lowering step, so the
+    // Pending filter accumulation (DESIGN §15): conjuncts of adjacent
+    // kFilter nodes collect here and flush into ONE FilterOp at the
+    // next non-filter lowering step (or ClosePipe), so the
     // adaptive cost-per-dropped-row ranking reorders conjuncts across
     // the original Filter() boundaries. `pending_persist` is the first
     // contributing node's plan-owned learned-order slot.
@@ -101,7 +101,7 @@ class Lowering {
     std::vector<int> pending_slots;
     std::atomic<uint64_t>* pending_persist = nullptr;
     // Plan-time ExplainPlan annotations accumulated for the job that
-    // closes this pipe ("[warm-conjunct-order]", "[fused: ...]").
+    // closes this pipe ("[warm-conjunct-order]").
     std::string pending_info;
 
     int Index(const std::string& name) const;

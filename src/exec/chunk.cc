@@ -84,17 +84,4 @@ void GatherChunk(const Chunk& in, const int32_t* idx, int count,
   }
 }
 
-std::atomic<int64_t> Chunk::compact_calls_{0};
-
-void Chunk::Compact(Arena* arena) {
-  if (sel == nullptr) return;
-  compact_calls_.fetch_add(1, std::memory_order_relaxed);
-  const int32_t* idx = sel;
-  const int count = sel_n;
-  sel = nullptr;
-  sel_n = 0;
-  n = count;
-  for (Vector& v : cols) v = GatherVector(v, idx, count, arena);
-}
-
 }  // namespace morsel

@@ -1,7 +1,6 @@
 #ifndef MORSELDB_EXEC_CHUNK_H_
 #define MORSELDB_EXEC_CHUNK_H_
 
-#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <string_view>
@@ -55,8 +54,8 @@ class Arena;
 //
 // Producers that drop rows (FilterOp) narrow `sel` instead of
 // gather-compacting every column; consumers either iterate RowAt(k) for
-// k in [0, ActiveRows()) or call Compact() once when they need dense
-// data (bulk column-wise sinks, the batched join probe).
+// k in [0, ActiveRows()) or gather the selected rows (GatherChunk) when
+// they need dense data.
 struct Chunk {
   int n = 0;
   std::vector<Vector> cols;
@@ -67,22 +66,6 @@ struct Chunk {
   bool dense() const { return sel == nullptr; }
   int ActiveRows() const { return sel != nullptr ? sel_n : n; }
   int RowAt(int k) const { return sel != nullptr ? sel[k] : k; }
-
-  // Gathers every column through `sel` into dense arena vectors and
-  // drops the selection (n becomes sel_n). No-op on dense chunks.
-  void Compact(Arena* arena);
-
-  // Process-wide count of Compact() calls that actually gathered (i.e.
-  // the chunk carried a selection). Every consumer on the filter→probe→
-  // agg→result hot path is sel-aware, so with selection_vectors enabled
-  // this must not move during query execution — regression tests pin
-  // that by sampling the counter around Execute().
-  static int64_t CompactCalls() {
-    return compact_calls_.load(std::memory_order_relaxed);
-  }
-
- private:
-  static std::atomic<int64_t> compact_calls_;
 };
 
 // Gathers rows `idx[0..count)` of `v` into a dense arena array.

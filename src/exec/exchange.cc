@@ -192,7 +192,6 @@ void ExchangeRecvSource::RunMorsel(const Morsel& m, Pipeline& pipeline,
   const RowBuffer* buf = buffers_[m.partition];
   const TupleLayout& layout = channel_->layout();
   for (uint64_t begin = m.begin; begin < m.end; begin += kChunkCapacity) {
-    ctx.CheckInterrupt();
     const int count = static_cast<int>(
         std::min<uint64_t>(kChunkCapacity, m.end - begin));
     const uint8_t** rows = ctx.arena.AllocArray<const uint8_t*>(count);

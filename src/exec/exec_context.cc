@@ -9,7 +9,7 @@
 namespace morsel {
 
 void CheckQueryInterrupt(QueryContext* q) {
-  if (q == nullptr || !q->interrupt_checkpoints()) return;
+  if (q == nullptr) return;
   if (FaultInjector* fi = q->fault_injector()) {
     int64_t stall_us = fi->OnInterruptCheck();
     if (stall_us > 0) {

@@ -262,58 +262,6 @@ void HashProbeOp::FlushCandidates(const Chunk& in, const int32_t* cand_rows,
   pipeline.Push(filtered, self_index + 1, ctx);
 }
 
-void HashProbeOp::ProbeScalar(const Chunk& chunk, const uint64_t* hashes,
-                              uint8_t* matched, ExecContext& ctx,
-                              Pipeline& pipeline, int self_index) {
-  TaggedHashTable* ht = state_->table();
-  const TupleLayout& layout = state_->layout();
-  const JoinKind kind = state_->kind();
-
-  // Candidate batch (probe row, build tuple) pairs.
-  int32_t* cand_rows = ctx.arena.AllocArray<int32_t>(kChunkCapacity);
-  const uint8_t** cand_tuples =
-      ctx.arena.AllocArray<const uint8_t*>(kChunkCapacity);
-  int n_cand = 0;
-
-  SocketTally chain_reads;
-  SocketTally slot_reads;
-  const int num_sockets = ctx.num_sockets();
-  int socket_hint = -1;
-
-  const int active = chunk.ActiveRows();
-  for (int k = 0; k < active; ++k) {
-    const int i = chunk.RowAt(k);
-    uint64_t hash = hashes[i];
-    // One 8-byte read of the interleaved hash table array per probe.
-    slot_reads.AddInterleaved(ht->SlotByteOffset(hash), 8, num_sockets);
-    uint8_t* tuple = ht->LookupHead(hash, ctx.use_tagging);
-    while (tuple != nullptr) {
-      chain_reads.Add(state_->SocketOfTuple(tuple, &socket_hint),
-                      layout.row_size());
-      if (TupleLayout::GetHash(tuple) == hash && KeysEqual(chunk, i, tuple)) {
-        cand_rows[n_cand] = i;
-        cand_tuples[n_cand] = tuple;
-        if (++n_cand == kChunkCapacity) {
-          FlushCandidates(chunk, cand_rows, cand_tuples, n_cand, matched,
-                          ctx, pipeline, self_index);
-          n_cand = 0;
-        }
-        // Semi/anti without residual: first key match settles this row.
-        if (residual_ == nullptr &&
-            (kind == JoinKind::kSemi || kind == JoinKind::kAnti)) {
-          break;
-        }
-      }
-      tuple = TupleLayout::GetNext(tuple);
-    }
-  }
-  FlushCandidates(chunk, cand_rows, cand_tuples, n_cand, matched, ctx,
-                  pipeline, self_index);
-
-  slot_reads.FlushReads(ctx.traffic(), ctx.socket(), num_sockets);
-  chain_reads.FlushReads(ctx.traffic(), ctx.socket(), num_sockets);
-}
-
 void HashProbeOp::ProbeBatched(const Chunk& chunk, const uint64_t* hashes,
                                uint8_t* matched, ExecContext& ctx,
                                Pipeline& pipeline, int self_index) {
@@ -430,9 +378,6 @@ void HashProbeOp::Process(Chunk& chunk, ExecContext& ctx,
   // The staged probe reads straight through the selection vector: every
   // per-row structure (hashes, match flags, candidate lists) stays
   // physically indexed, and the stage loops visit only selected rows.
-  // The eager ablation compacts up front instead (a no-op there in
-  // practice — FilterOp already emits dense chunks in that mode).
-  if (!ctx.selection_vectors) chunk.Compact(&ctx.arena);
   const uint64_t* hashes = HashRows(chunk, probe_key_cols_, ctx);
   JoinKind kind = state_->kind();
   const bool track_matches = kind != JoinKind::kInner &&
@@ -444,11 +389,7 @@ void HashProbeOp::Process(Chunk& chunk, ExecContext& ctx,
     std::memset(matched, 0, chunk.n);
   }
 
-  if (ctx.batched_probe) {
-    ProbeBatched(chunk, hashes, matched, ctx, pipeline, self_index);
-  } else {
-    ProbeScalar(chunk, hashes, matched, ctx, pipeline, self_index);
-  }
+  ProbeBatched(chunk, hashes, matched, ctx, pipeline, self_index);
 
   // Post-pass for kinds keyed on match existence.
   if (kind == JoinKind::kSemi || kind == JoinKind::kAnti ||

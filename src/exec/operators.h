@@ -74,7 +74,6 @@ class FilterOp final : public Operator {
            std::atomic<uint64_t>* persist_order = nullptr);
   void Process(Chunk& chunk, ExecContext& ctx, Pipeline& pipeline,
                int self_index) override;
-  const char* Name() const override { return "filter"; }
 
   // The current packed evaluation order (conjunct index at rank r is
   // byte r) — exposed for explain/regression tests.
@@ -130,7 +129,6 @@ class MapOp final : public Operator {
   explicit MapOp(std::vector<ExprPtr> exprs);
   void Process(Chunk& chunk, ExecContext& ctx, Pipeline& pipeline,
                int self_index) override;
-  const char* Name() const override { return "project"; }
 
  private:
   std::vector<ExprPtr> exprs_;

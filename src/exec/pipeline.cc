@@ -7,13 +7,11 @@ ExecPipelineJob::ExecPipelineJob(QueryContext* query, std::string name,
                                  MorselQueue::Options queue_opts,
                                  bool use_tagging,
                                  int static_division_workers,
-                                 bool batched_probe,
                                  bool selection_vectors)
     : PipelineJob(query, std::move(name)),
       pipeline_(std::move(pipeline)),
       queue_opts_(queue_opts),
       use_tagging_(use_tagging),
-      batched_probe_(batched_probe),
       selection_vectors_(selection_vectors),
       static_division_workers_(static_division_workers) {
   contexts_.resize(query->num_worker_slots());
@@ -41,7 +39,6 @@ ExecContext& ExecPipelineJob::LocalContext(WorkerContext& wctx) {
     slot->worker = &wctx;
     slot->query = query();
     slot->use_tagging = use_tagging_;
-    slot->batched_probe = batched_probe_;
     slot->selection_vectors = selection_vectors_;
   }
   return *slot;

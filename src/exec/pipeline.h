@@ -38,9 +38,6 @@ class Operator {
   virtual ~Operator() = default;
   virtual void Process(Chunk& chunk, ExecContext& ctx, Pipeline& pipeline,
                        int self_index) = 0;
-  // Short lowercase stage name for explain annotations ("filter",
-  // "probe", ...).
-  virtual const char* Name() const { return "op"; }
 };
 
 // Terminal consumer of a pipeline — the pipeline breaker's materializing
@@ -67,23 +64,22 @@ class Sink {
 };
 
 // Source -> ops -> sink. The executable form of one of the paper's
-// pipeline segments. Push is virtual so a fused operator can route its
-// inner stages through a private dispatcher (exec/fused.h) while the
-// stages keep the ordinary pipeline.Push(out, self_index + 1, ctx)
-// contract.
+// pipeline segments: each chunk runs op by op through one tight push
+// chain (DESIGN §15), and every chunk a source pushes passes one
+// interrupt checkpoint (DESIGN §11).
 class Pipeline {
  public:
   Pipeline(std::unique_ptr<Source> source,
            std::vector<std::unique_ptr<Operator>> ops, Sink* sink)
       : source_(std::move(source)), ops_(std::move(ops)), sink_(sink) {}
-  virtual ~Pipeline() = default;
 
   Source* source() const { return source_.get(); }
   Sink* sink() const { return sink_; }
 
   // Pushes a chunk through ops [from_op ..] and finally the sink.
-  virtual void Push(Chunk& chunk, size_t from_op, ExecContext& ctx) {
+  void Push(Chunk& chunk, size_t from_op, ExecContext& ctx) {
     if (chunk.ActiveRows() == 0) return;
+    if (from_op == 0) ctx.CheckInterrupt();
     if (from_op == ops_.size()) {
       ctx.rows_to_sink += chunk.ActiveRows();
       sink_->Consume(chunk, ctx);
@@ -91,9 +87,6 @@ class Pipeline {
     }
     ops_[from_op]->Process(chunk, ctx, *this, static_cast<int>(from_op));
   }
-
- protected:
-  Pipeline() : sink_(nullptr) {}
 
  private:
   std::unique_ptr<Source> source_;
@@ -110,7 +103,6 @@ class ExecPipelineJob : public PipelineJob {
                   std::unique_ptr<Pipeline> pipeline,
                   MorselQueue::Options queue_opts, bool use_tagging,
                   int static_division_workers = 0,
-                  bool batched_probe = true,
                   bool selection_vectors = true);
 
   void Prepare(const Topology& topo) override;
@@ -125,7 +117,6 @@ class ExecPipelineJob : public PipelineJob {
   std::unique_ptr<Pipeline> pipeline_;
   MorselQueue::Options queue_opts_;
   bool use_tagging_;
-  bool batched_probe_;
   bool selection_vectors_;
   // Volcano emulation (§5.4): morsel size forced to ceil(n / workers).
   int static_division_workers_;

@@ -1,5 +1,6 @@
 #include "tpch/tpch_queries.h"
 
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -548,8 +549,16 @@ ResultSet Q15(Engine& e, const TpchData& db) {
     ResultSet r = e.CreateQuery(rev.Build())->Execute();
     max_rev = r.F64(0, 0);
   }
+  // The view is evaluated twice, and each evaluation adds a supplier's
+  // revenues in its own parallel order, so the recomputed top revenue
+  // can land a few ulps below max_rev. Compare with a relative tolerance
+  // far above that rounding (~1e-16 per addition) and far below the
+  // 0.0001 step between two distinct exact revenues (prices carry cents,
+  // discounts two decimals) at any revenue under 1e7.
+  constexpr double kRelTolerance = 1e-12;
   PlanBuilder rev = Q15RevenueView(db);
-  rev.Filter(Ge(rev.Col("total_revenue"), ConstF64(max_rev)));
+  rev.Filter(Ge(rev.Col("total_revenue"),
+                ConstF64(max_rev - std::abs(max_rev) * kRelTolerance)));
   PlanBuilder sup = PlanBuilder::Scan(db.supplier.get(),
                             {"s_suppkey", "s_name", "s_address", "s_phone"});
   sup.HashJoin(std::move(rev), {"s_suppkey"}, {"l_suppkey"},

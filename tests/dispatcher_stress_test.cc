@@ -147,8 +147,8 @@ TEST(DispatcherStress, RepeatedCancelAtRandomPhases) {
     // Cancellation lands anywhere from "before the first morsel" to
     // "after the last one".
     int64_t spin = rng.Uniform(0, 400);
-    for (volatile int64_t i = 0; i < spin * 1000; ++i) {
-    }
+    volatile int64_t spun = 0;  // keeps the busy loop from folding away
+    for (int64_t i = 0; i < spin * 1000; ++i) spun = spun + 1;
     q->Cancel();
     q->Wait();
     if (q->context()->error().empty()) {

@@ -170,11 +170,6 @@ struct RandomPlanSpec {
   // actually skip morsels (the reference always runs eager, zone-off).
   bool selection_vectors = true;
   bool range_filter = false;
-  // Fused operator spine (DESIGN §15): the tested engine draws whether
-  // eligible operator runs collapse into one FusedPipelineOp (adjacent
-  // filters merging into a single adaptive conjunct chain); the
-  // reference always lowers one operator per node.
-  bool fused_pipelines = true;
   // Adaptive group-by dimensions (DESIGN §13): the tested engine draws
   // the adaptive_agg ablation flag and sometimes forces the radix arm
   // outright (switch_ratio=0); the reference always runs the fixed
@@ -240,9 +235,6 @@ RandomPlanSpec DrawSpec(uint64_t seed) {
   s.probe_dist = static_cast<int>(rng.Uniform(0, 1));
   s.build_dist = static_cast<int>(rng.Uniform(0, 2));
   s.dim2_replicated = rng.Bernoulli(0.5);
-  // Fused-pipeline dimension: drawn after every pre-existing one so
-  // earlier seeds keep their established shapes.
-  s.fused_pipelines = rng.Bernoulli(0.5);
   // No liveness constraint on steal/workers: sockets without a live
   // worker hand their morsels to remote workers (the dispatcher's
   // no-steal fallback), so any combination must complete.
@@ -356,7 +348,6 @@ EngineOptions TestedEngineOptions(const RandomPlanSpec& spec) {
   opts.tagging = spec.tagging;
   opts.runtime_feedback = spec.runtime_feedback;
   opts.selection_vectors = spec.selection_vectors;
-  opts.fused_pipelines = spec.fused_pipelines;
   opts.adaptive_agg = spec.adaptive_agg;
   if (spec.force_radix_agg) opts.agg_radix_switch_ratio = 0.0;
   opts.radix_merge_materialize = spec.radix_merge_mat;
@@ -380,7 +371,6 @@ std::vector<std::string> RunSpec(const RandomPlanSpec& spec,
     opts.join_strategy = JoinStrategy::kHash;
     opts.selection_vectors = false;
     opts.zone_maps = false;
-    opts.fused_pipelines = false;  // one operator per node, pre-§15
     // The oracle aggregates on the fixed pre-§13 path and materializes
     // merge inputs through the separator-sampling path.
     opts.adaptive_agg = false;

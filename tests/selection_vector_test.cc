@@ -4,15 +4,8 @@
 // consumers read through it or compact on demand; with it off, the seed
 // eager evaluate-everything, compact-per-filter path runs. Both must be
 // row-for-row identical across join kinds, residuals, group-bys, sorts,
-// string predicates, and multi-conjunct chains — the same harness
-// pattern batched_probe_test uses for the probe ablation.
-//
-// A third arm covers `fused_pipelines` (DESIGN.md §15): the default
-// engine fuses eligible operator runs into one chunk-resident
-// FusedPipelineOp (and merges adjacent Filter() nodes into one adaptive
-// conjunct chain); the unfused arm lowers one operator per node. All
-// three arms must agree row-for-row, and the fused/sel hot path must
-// never call Chunk::Compact (asserted via the process-wide counter).
+// string predicates, and multi-conjunct chains (adjacent Filter()
+// nodes merge into one adaptive conjunct chain, DESIGN.md §15).
 
 #include <gtest/gtest.h>
 
@@ -22,7 +15,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "exec/chunk.h"
 #include "test_util.h"
 
 namespace morsel {
@@ -52,22 +44,7 @@ Engine& EagerEngine() {
   return *engine;
 }
 
-// Selection vectors on, pipeline fusion off: lowers one operator per
-// plan node (adjacent Filter() nodes stay separate FilterOps), the
-// ablation arm for the fused operator spine.
-Engine& UnfusedEngine() {
-  static Engine* engine = [] {
-    EngineOptions opts;
-    opts.morsel_size = 512;
-    opts.selection_vectors = true;
-    opts.fused_pipelines = false;
-    return new Engine(SmallTopo(), opts);
-  }();
-  return *engine;
-}
-
-// Runs the same plan factory on all three engines (sel+fused, eager,
-// sel+unfused) and expects equal rows.
+// Runs the same plan factory on both engines and expects equal rows.
 template <typename PlanFn>
 void ExpectBothEqual(const PlanFn& make_plan, bool expect_nonempty = true) {
   LogicalPlan plan = make_plan();
@@ -75,11 +52,10 @@ void ExpectBothEqual(const PlanFn& make_plan, bool expect_nonempty = true) {
       SortedRows(SelEngine().CreateQuery(plan)->Execute());
   std::vector<std::string> eager =
       SortedRows(EagerEngine().CreateQuery(plan)->Execute());
-  std::vector<std::string> unfused =
-      SortedRows(UnfusedEngine().CreateQuery(plan)->Execute());
-  if (expect_nonempty) EXPECT_FALSE(sel.empty());
+  if (expect_nonempty) {
+    EXPECT_FALSE(sel.empty());
+  }
   EXPECT_EQ(sel, eager);
-  EXPECT_EQ(sel, unfused);
 }
 
 std::vector<std::pair<int64_t, int64_t>> Numbers(int64_t n,
@@ -173,8 +149,8 @@ TEST(SelectionVectors, GroupByAndSortMatchEager) {
 }
 
 TEST(SelectionVectors, MergeJoinAndTopKMatchEager) {
-  // Sorted inputs through a forced merge join (RunMaterializeSink takes
-  // the one-shot Compact path) ending in a top-k heap.
+  // Sorted inputs through a forced merge join (RunMaterializeSink reads
+  // through the selection) ending in a top-k heap.
   std::vector<std::pair<int64_t, int64_t>> probe_rows, build_rows;
   for (int64_t i = 0; i < 9000; ++i) probe_rows.push_back({i / 2, i});
   for (int64_t i = 0; i < 5000; ++i) build_rows.push_back({i, 3 * i});
@@ -389,12 +365,12 @@ TEST(SelectionVectors, RandomizedPlansMatchEager) {
   }
 }
 
-TEST(FusedPipelines, ZoneMapPartialMorselsMatchUnfusedAndEager) {
+TEST(SelectionVectors, ZoneMapPartialMorselsMatchEager) {
   // v is the row index, ascending within each partition, so the
   // SARGable range conjunct lets zone maps skip, fully accept and
-  // partially accept morsels — the fused filter chain must honor the
-  // per-morsel accept mask exactly like the unfused one. The stacked
-  // second filter merges into the same fused conjunct chain.
+  // partially accept morsels — the sel filter chain must honor the
+  // per-morsel accept mask exactly like the eager one. The stacked
+  // second filter merges into the same conjunct chain.
   auto probe = MakeKv(SmallTopo(), Numbers(40000, 300), "pk", "pv");
   auto build = MakeKv(SmallTopo(), Numbers(500, 250), "bk", "bv");
   ExpectBothEqual([&] {
@@ -412,87 +388,7 @@ TEST(FusedPipelines, ZoneMapPartialMorselsMatchUnfusedAndEager) {
   });
 }
 
-TEST(FusedPipelines, ExplainShowsFusedStagesOnlyWhenEnabled) {
-  auto probe = MakeKv(SmallTopo(), Numbers(8000, 100), "pk", "pv");
-  auto build = MakeKv(SmallTopo(), Numbers(100, 50), "bk", "bv");
-  auto make_plan = [&] {
-    PlanBuilder b = PlanBuilder::Scan(build.get(), {"bk", "bv"});
-    PlanBuilder p = PlanBuilder::Scan(probe.get(), {"pk", "pv"});
-    p.Filter(Lt(p.Col("pv"), ConstI64(6000)));
-    p.HashJoin(std::move(b), {"pk"}, {"bk"}, {"bv"}, JoinKind::kInner);
-    std::vector<AggItem> aggs;
-    aggs.push_back({AggFunc::kCount, nullptr, "cnt"});
-    p.GroupBy({"pk"}, std::move(aggs));
-    p.CollectResult();
-    return p.Build();
-  };
-  auto fused_q = SelEngine().CreateQuery(make_plan());
-  fused_q->Execute();
-  const std::string fused_plan = fused_q->ExplainPlan();
-  EXPECT_NE(fused_plan.find("[fused: filter+probe"), std::string::npos)
-      << fused_plan;
-
-  auto unfused_q = UnfusedEngine().CreateQuery(make_plan());
-  unfused_q->Execute();
-  const std::string unfused_plan = unfused_q->ExplainPlan();
-  EXPECT_EQ(unfused_plan.find("[fused:"), std::string::npos)
-      << unfused_plan;
-}
-
-TEST(FusedPipelines, HotPathNeverCompacts) {
-  // The tentpole regression: with selection_vectors on, the
-  // filter→probe→agg→result spine reads through `sel` end to end —
-  // Chunk::Compact must not run at all. The eager ablation arm, by
-  // contrast, compacts after every narrowing filter.
-  auto probe = MakeKv(SmallTopo(), Numbers(30000, 400), "pk", "pv");
-  auto build = MakeKv(SmallTopo(), Numbers(300, 150), "bk", "bv");
-  auto make_plan = [&] {
-    PlanBuilder b = PlanBuilder::Scan(build.get(), {"bk", "bv"});
-    b.Filter(Lt(b.Col("bv"), ConstI64(250)));
-    PlanBuilder p = PlanBuilder::Scan(probe.get(), {"pk", "pv"});
-    p.Filter(And(Lt(p.Col("pk"), ConstI64(37)),  // ~9% selectivity
-                 Ge(p.Col("pv"), ConstI64(100))));
-    p.HashJoin(std::move(b), {"pk"}, {"bk"}, {"bv"}, JoinKind::kInner);
-    std::vector<AggItem> aggs;
-    aggs.push_back({AggFunc::kCount, nullptr, "cnt"});
-    aggs.push_back({AggFunc::kSum, p.Col("bv"), "sb"});
-    p.GroupBy({"pk"}, std::move(aggs));
-    p.CollectResult();
-    return p.Build();
-  };
-
-  const int64_t before_sel = Chunk::CompactCalls();
-  ResultSet r = SelEngine().CreateQuery(make_plan())->Execute();
-  EXPECT_GT(r.num_rows(), 0);
-  EXPECT_EQ(Chunk::CompactCalls() - before_sel, 0)
-      << "selection-vector hot path compacted";
-  // The unfused sel arm must be compact-free too.
-  const int64_t before_unfused = Chunk::CompactCalls();
-  UnfusedEngine().CreateQuery(make_plan())->Execute();
-  EXPECT_EQ(Chunk::CompactCalls() - before_unfused, 0);
-
-  // Counter sanity: compacting a chunk that carries a selection counts,
-  // and the dense early-out does not.
-  Arena arena;
-  const int64_t vals[4] = {10, 20, 30, 40};
-  const int32_t sel[2] = {1, 3};
-  Chunk c;
-  c.n = 4;
-  c.cols.push_back(Vector{LogicalType::kInt64, vals});
-  c.sel = sel;
-  c.sel_n = 2;
-  const int64_t before_unit = Chunk::CompactCalls();
-  c.Compact(&arena);
-  EXPECT_EQ(Chunk::CompactCalls() - before_unit, 1);
-  ASSERT_TRUE(c.dense());
-  ASSERT_EQ(c.n, 2);
-  EXPECT_EQ(c.cols[0].i64()[0], 20);
-  EXPECT_EQ(c.cols[0].i64()[1], 40);
-  c.Compact(&arena);
-  EXPECT_EQ(Chunk::CompactCalls() - before_unit, 1);
-}
-
-TEST(FusedPipelines, PreparedReExecutionStartsWithWarmConjunctOrder) {
+TEST(SelectionVectors, PreparedReExecutionStartsWithWarmConjunctOrder) {
   // DESIGN §15 conjunct-order persistence: the first execution learns
   // cheap-selective-first via the adaptive re-rank and publishes the
   // packed order to the plan-owned slot; the second lowering of the

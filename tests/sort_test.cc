@@ -58,7 +58,9 @@ TEST(Sort, DescendingAndSecondaryKey) {
   for (int64_t i = 1; i < r.num_rows(); ++i) {
     int64_t pk = r.I64(i - 1, 0), ck = r.I64(i, 0);
     ASSERT_GE(pk, ck);
-    if (pk == ck) ASSERT_LT(r.I64(i - 1, 1), r.I64(i, 1));
+    if (pk == ck) {
+      ASSERT_LT(r.I64(i - 1, 1), r.I64(i, 1));
+    }
   }
 }
 

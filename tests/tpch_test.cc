@@ -42,6 +42,15 @@ Engine& SharedEngine() {
   return *engine;
 }
 
+Engine& SingleWorkerEngine() {
+  static Engine* engine = [] {
+    EngineOptions o = TestOptions();
+    o.num_workers = 1;
+    return new Engine(TestTopo(), o);
+  }();
+  return *engine;
+}
+
 // Canonicalizes a result for cross-engine comparison: rows keyed by their
 // int/string columns, double columns compared with relative tolerance
 // (parallel summation order varies).
@@ -344,17 +353,28 @@ TEST_P(TpchVariants, EnginesAgree) {
   ResultSet v = RunTpchQuery(*volcano, Db(), qnum);
   ExpectSameResult(base, v);
 
-  static Engine* single = [] {
-    EngineOptions o = TestOptions();
-    o.num_workers = 1;
-    return new Engine(TestTopo(), o);
-  }();
-  ResultSet s = RunTpchQuery(*single, Db(), qnum);
+  ResultSet s = RunTpchQuery(SingleWorkerEngine(), Db(), qnum);
   ExpectSameResult(base, s);
 }
 
 INSTANTIATE_TEST_SUITE_P(Variants, TpchVariants,
-                         ::testing::Values(1, 3, 4, 6, 9, 13, 16, 18, 21));
+                         ::testing::Values(1, 3, 4, 6, 9, 13, 15, 16, 18,
+                                           21));
+
+// Q15 keeps the suppliers whose revenue equals the maximum revenue, and
+// the two sides are summed in different parallel orders. An exact
+// comparison dropped the top supplier in a share of multi-worker runs,
+// so a single agreeing run proves little: every one of many 4-worker
+// runs must match the single-worker result.
+TEST(TpchQ15, RepeatedParallelRunsMatchSingleWorker) {
+  ASSERT_EQ(SharedEngine().num_workers(), 4);
+  ResultSet expect = RunTpchQuery(SingleWorkerEngine(), Db(), 15);
+  ASSERT_GE(expect.num_rows(), 1);
+  for (int run = 0; run < 30; ++run) {
+    SCOPED_TRACE("run " + std::to_string(run));
+    ExpectSameResult(expect, RunTpchQuery(SharedEngine(), Db(), 15));
+  }
+}
 
 }  // namespace
 }  // namespace morsel
